@@ -13,6 +13,7 @@
 //!   other so queries over flushed data behave exactly as before the
 //!   crash.
 
+mod crc32_clmul;
 pub mod format;
 pub mod manifest;
 pub mod recovery;

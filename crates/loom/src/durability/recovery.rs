@@ -181,7 +181,7 @@ fn scan_record_log(
     let file_len = file.metadata()?.len();
     let chunk_size = config.chunk_size;
     let mut buf = vec![0u8; chunk_size];
-    let mut cold_buf = Vec::new();
+    let (mut cold_frame, mut cold_buf) = (Vec::new(), Vec::new());
 
     let mut tail = file_len;
     let cut = |state: &mut RecoveredState, tail: &mut u64, addr: u64, reason: String| {
@@ -201,7 +201,7 @@ fn scan_record_log(
             // The cold tier owns this chunk: scan its decompressed bytes
             // (the hot copy may be punched). Cold chunks are whole by
             // construction, so `avail` is a full chunk here.
-            cold.read_chunk(chunk_start, &mut cold_buf)?;
+            cold.read_chunk(chunk_start, &mut cold_frame, &mut cold_buf)?;
             buf[..avail].copy_from_slice(&cold_buf);
         } else if chunk_start + chunk_size as u64 <= cold.pruned_below() {
             // Dropped by retention: not torn, just gone. Skip it without

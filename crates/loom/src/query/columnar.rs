@@ -38,7 +38,7 @@
 use crate::sync::Mutex;
 
 use super::executor::RecordBatch;
-use super::view::{QueryView, RegionScan};
+use super::view::{ChunkBuf, QueryView, RegionScan};
 use super::{Record, TimeRange, ValueRange};
 use crate::durability::LogId;
 use crate::error::{LoomError, Result};
@@ -338,9 +338,13 @@ pub(crate) fn decode_chunk(
         bufs.cols.clear();
         return Ok(DecodeOut::default());
     }
-    let batch = bufs
-        .cols
-        .decode(&bufs.chunk[..len], chunk_addr, source, desc, stop_after)?;
+    let batch = bufs.cols.decode(
+        &bufs.chunk.bytes[..len],
+        chunk_addr,
+        source,
+        desc,
+        stop_after,
+    )?;
     Ok(DecodeOut {
         scan: RegionScan {
             chunks: 1,
@@ -361,7 +365,7 @@ pub(crate) fn decode_chunk(
 pub(crate) struct ScanBuffers {
     /// Raw chunk bytes (grow-once, shared with the record-at-a-time
     /// fallback which uses it as its chunk buffer).
-    pub chunk: Vec<u8>,
+    pub chunk: ChunkBuf,
     /// Columns decoded from `chunk`.
     pub cols: ColumnBatch,
 }
@@ -562,11 +566,14 @@ mod tests {
     fn pool_recycles_capacity() {
         let pool = BufferPool::default();
         let mut b = pool.acquire();
-        b.chunk.resize(1 << 16, 0);
-        let cap = b.chunk.capacity();
+        b.chunk.bytes.resize(1 << 16, 0);
+        let cap = b.chunk.bytes.capacity();
         pool.release(b);
         let b2 = pool.acquire();
-        assert!(b2.chunk.capacity() >= cap, "capacity survives the pool");
+        assert!(
+            b2.chunk.bytes.capacity() >= cap,
+            "capacity survives the pool"
+        );
         let mut batch = pool.acquire_batch();
         batch.push(0, 1, b"xyz");
         pool.release_batch(batch);

@@ -199,10 +199,10 @@ mod tests {
         let pool = BufferPool::default();
         let chunks: Vec<u64> = (0..128).collect();
         let out = map_chunks(&pool, 3, &chunks, |bufs, addr| {
-            bufs.chunk.clear();
-            bufs.chunk.extend_from_slice(&addr.to_le_bytes());
+            bufs.chunk.bytes.clear();
+            bufs.chunk.bytes.extend_from_slice(&addr.to_le_bytes());
             crate::sync::thread::yield_now();
-            let read = u64::from_le_bytes(bufs.chunk[..8].try_into().unwrap());
+            let read = u64::from_le_bytes(bufs.chunk.bytes[..8].try_into().unwrap());
             Ok(read == addr)
         })
         .unwrap();

@@ -201,7 +201,7 @@ where
                     view.obs
                         .query
                         .columnar_batch(bufs.cols.len() as u64, selected);
-                    bufs.cols.emit(&bufs.chunk, meta.source, f);
+                    bufs.cols.emit(&bufs.chunk.bytes, meta.source, f);
                     matched += selected;
                     out.scan.fold_into(stats);
                 }
@@ -232,7 +232,7 @@ where
                     view.obs
                         .query
                         .columnar_batch(bufs.cols.len() as u64, selected);
-                    bufs.cols.emit_to_batch(&bufs.chunk, &mut batch);
+                    bufs.cols.emit_to_batch(&bufs.chunk.bytes, &mut batch);
                     Ok((out.scan, batch))
                 }
                 DecodeMode::RecordAtATime => {
@@ -325,7 +325,7 @@ where
                 view.obs
                     .query
                     .columnar_batch(bufs.cols.len() as u64, selected);
-                bufs.cols.emit(&bufs.chunk, meta.source, f);
+                bufs.cols.emit(&bufs.chunk.bytes, meta.source, f);
                 matched += selected;
                 out.scan.fold_into(stats);
                 if out.scan.stopped {
@@ -401,7 +401,7 @@ where
                     view.obs
                         .query
                         .columnar_batch(bufs.cols.len() as u64, selected);
-                    bufs.cols.emit(&bufs.chunk, meta.source, f);
+                    bufs.cols.emit(&bufs.chunk.bytes, meta.source, f);
                     matched += selected;
                     out.scan.fold_into(stats);
                     piece_max_ts = out.max_ts;
@@ -452,7 +452,7 @@ where
                         view.obs
                             .query
                             .columnar_batch(bufs.cols.len() as u64, selected);
-                        bufs.cols.emit_to_batch(&bufs.chunk, &mut batch);
+                        bufs.cols.emit_to_batch(&bufs.chunk.bytes, &mut batch);
                         Ok((out.scan, batch, out.max_ts))
                     }
                     DecodeMode::RecordAtATime => {

@@ -157,15 +157,16 @@ impl<'a> QueryView<'a> {
     fn read_at_tiered(&self, addr: u64, out: &mut [u8], cache: &mut ColdChunkCache) -> Result<()> {
         let base = addr - addr % self.chunk_size;
         if self.cold.owns(base) {
+            let bytes = &mut cache.buf.bytes;
             if cache.addr != Some(base) {
-                self.cold.read_chunk(base, &mut cache.bytes)?;
+                self.cold.read_chunk(base, &mut cache.buf.frame, bytes)?;
                 self.obs.engine.cold_chunk_read();
                 cache.addr = Some(base);
             }
             let off = (addr - base) as usize;
-            let n = cache.bytes.len().saturating_sub(off).min(out.len());
+            let n = bytes.len().saturating_sub(off).min(out.len());
             out[n..].fill(0);
-            out[..n].copy_from_slice(&cache.bytes[off..off + n]);
+            out[..n].copy_from_slice(&bytes[off..off + n]);
             return Ok(());
         }
         if addr + out.len() as u64 <= self.cold.pruned_below() {
@@ -178,11 +179,12 @@ impl<'a> QueryView<'a> {
     }
 
     /// Reads the `len`-byte chunk piece at chunk-aligned `pos` into
-    /// `buf[..len]` from whichever tier owns it: cold chunks decompress
-    /// from their segment frame, pruned chunks read as zeros, everything
-    /// else reads from the record log.
-    fn read_piece(&self, pos: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
-        if self.cold.read_chunk(pos, buf)? {
+    /// `chunk.bytes[..len]` from whichever tier owns it: cold chunks
+    /// decompress from their segment frame, pruned chunks read as zeros,
+    /// everything else reads from the record log.
+    fn read_piece(&self, pos: u64, len: usize, chunk: &mut ChunkBuf) -> Result<()> {
+        let buf = &mut chunk.bytes;
+        if self.cold.read_chunk(pos, &mut chunk.frame, buf)? {
             self.obs.engine.cold_chunk_read();
             if buf.len() < len {
                 buf.resize(len, 0);
@@ -209,8 +211,7 @@ impl<'a> QueryView<'a> {
     where
         F: FnMut(&ChunkRecord<'_>) -> ScanControl,
     {
-        let mut buf = Vec::new();
-        self.scan_region_with_buf(from, to, &mut buf, f)
+        self.scan_region_with_buf(from, to, &mut ChunkBuf::default(), f)
     }
 
     /// [`Self::scan_region`] with a caller-owned chunk buffer.
@@ -224,7 +225,7 @@ impl<'a> QueryView<'a> {
         &self,
         from: u64,
         to: u64,
-        buf: &mut Vec<u8>,
+        buf: &mut ChunkBuf,
         mut f: F,
     ) -> Result<RegionScan>
     where
@@ -237,7 +238,7 @@ impl<'a> QueryView<'a> {
         while pos < to {
             let len = self.chunk_size.min(to - pos) as usize;
             self.read_piece(pos, len, buf)?;
-            let piece = &buf[..len];
+            let piece = &buf.bytes[..len];
             out.chunks += 1;
             out.bytes += len as u64;
             for rec in ChunkIter::new(piece, pos) {
@@ -265,7 +266,7 @@ impl<'a> QueryView<'a> {
     /// piece of [`Self::scan_region_with_buf`]) would read, so callers
     /// can account `chunks`/`bytes` identically. Like the region scan,
     /// the buffer is grown (and zero-initialized) at most once.
-    pub fn read_chunk_raw(&self, chunk_addr: u64, buf: &mut Vec<u8>) -> Result<usize> {
+    pub fn read_chunk_raw(&self, chunk_addr: u64, buf: &mut ChunkBuf) -> Result<usize> {
         debug_assert_eq!(
             chunk_addr % self.chunk_size,
             0,
@@ -285,7 +286,7 @@ impl<'a> QueryView<'a> {
     pub fn scan_chunk_with_buf<F>(
         &self,
         chunk_addr: u64,
-        buf: &mut Vec<u8>,
+        buf: &mut ChunkBuf,
         f: F,
     ) -> Result<RegionScan>
     where
@@ -295,6 +296,17 @@ impl<'a> QueryView<'a> {
     }
 }
 
+/// A caller-owned, grow-once buffer for chunk reads: the chunk's bytes,
+/// plus the scratch a cold read reads the compressed segment frame into
+/// before decompressing it into `bytes`.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkBuf {
+    /// The chunk piece's bytes.
+    pub bytes: Vec<u8>,
+    /// Compressed cold-frame scratch (unused for hot reads).
+    pub frame: Vec<u8>,
+}
+
 /// One-chunk cache of decompressed cold bytes for record-at-a-time
 /// reads: the raw chain walk touches the same chunk once per record,
 /// and decompressing per read would be quadratic in records-per-chunk.
@@ -302,8 +314,8 @@ impl<'a> QueryView<'a> {
 pub(crate) struct ColdChunkCache {
     /// Chunk address of the cached bytes, if any.
     addr: Option<u64>,
-    /// The decompressed chunk.
-    bytes: Vec<u8>,
+    /// The decompressed chunk (in `buf.bytes`).
+    buf: ChunkBuf,
 }
 
 /// Counters produced by a region scan.

@@ -208,12 +208,13 @@ impl ColdSnap {
     }
 
     /// Reads and decompresses the cold chunk at record-log address
-    /// `addr` into `out`. Returns `false` (leaving `out` untouched) when
-    /// the cold tier does not own that address.
-    pub fn read_chunk(&self, addr: u64, out: &mut Vec<u8>) -> Result<bool> {
+    /// `addr` into `out`, reading its compressed frame through the
+    /// reusable scratch buffer `frame`. Returns `false` (leaving both
+    /// untouched) when the cold tier does not own that address.
+    pub fn read_chunk(&self, addr: u64, frame: &mut Vec<u8>, out: &mut Vec<u8>) -> Result<bool> {
         match self.chunks.get(&addr) {
             Some(r) => {
-                segment::read_chunk_frame(&r.file, r.offset, addr, out)?;
+                segment::read_chunk_frame(&r.file, r.offset, addr, frame, out)?;
                 Ok(true)
             }
             None => Ok(false),
@@ -505,10 +506,10 @@ mod tests {
         assert!(snap.owns(0) && snap.owns(2048));
         assert_eq!(snap.aged_upto_chunk(), 4096);
         assert_eq!(snap.aged_upto_summary(), 128);
-        let mut out = Vec::new();
-        assert!(snap.read_chunk(2048, &mut out).unwrap());
+        let (mut frame, mut out) = (Vec::new(), Vec::new());
+        assert!(snap.read_chunk(2048, &mut frame, &mut out).unwrap());
         assert_eq!(out, c1);
-        assert!(!snap.read_chunk(4096, &mut out).unwrap());
+        assert!(!snap.read_chunk(4096, &mut frame, &mut out).unwrap());
         let t = snap.tier_stats();
         assert_eq!((t.chunks, t.records, t.slices), (2, 60, 1));
         assert_eq!(t.raw_bytes, 4096);

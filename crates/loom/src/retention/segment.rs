@@ -189,11 +189,14 @@ impl SegmentWriter {
 
 /// Reads and verifies the chunk frame at `offset`, decompressing the
 /// exact original chunk bytes into `out`. `expect_addr` cross-checks the
-/// frame against the caller's map.
+/// frame against the caller's map. The compressed body is read into
+/// `frame`, a caller-owned scratch buffer that only ever grows, so
+/// repeated reads allocate nothing.
 pub fn read_chunk_frame(
     file: &File,
     offset: u64,
     expect_addr: u64,
+    frame: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) -> Result<()> {
     let mut head = [0u8; FRAME_HEADER_SIZE];
@@ -203,9 +206,12 @@ pub fn read_chunk_frame(
     if body_len < 17 || body_len as u64 > crate::durability::MAX_FRAME_LEN {
         return Err(corrupt_at(offset, format!("bad frame length {body_len}")));
     }
-    let mut body = vec![0u8; body_len];
-    file.read_exact_at(&mut body, offset + FRAME_HEADER_SIZE as u64)?;
-    if crc32(&body) != stored_crc {
+    if frame.len() < body_len {
+        frame.resize(body_len, 0);
+    }
+    let body = &mut frame[..body_len];
+    file.read_exact_at(body, offset + FRAME_HEADER_SIZE as u64)?;
+    if crc32(body) != stored_crc {
         return Err(corrupt_at(offset, "frame checksum mismatch"));
     }
     let chunk_addr = u64::from_le_bytes([
@@ -344,13 +350,20 @@ mod tests {
         assert_eq!(m0.raw_len, 1024);
         assert!(m1.comp_len < 1024, "chunk should compress");
 
-        let mut out = Vec::new();
-        read_chunk_frame(&file, m0.offset, 0, &mut out).unwrap();
+        let (mut frame, mut out) = (Vec::new(), Vec::new());
+        read_chunk_frame(&file, m0.offset, 0, &mut frame, &mut out).unwrap();
         assert_eq!(out, c0);
-        read_chunk_frame(&file, m1.offset, 1024, &mut out).unwrap();
+        // The scratch buffer is reused, not reallocated, when it already
+        // holds a larger frame than the next one.
+        frame.resize(1 << 12, 0xAA);
+        let ptr = frame.as_ptr();
+        read_chunk_frame(&file, m1.offset, 1024, &mut frame, &mut out).unwrap();
         assert_eq!(out, c1);
+        assert_eq!(frame.as_ptr(), ptr);
+        read_chunk_frame(&file, m0.offset, 0, &mut frame, &mut out).unwrap();
+        assert_eq!(out, c0);
         // Wrong expected address is rejected.
-        assert!(read_chunk_frame(&file, m1.offset, 0, &mut out).is_err());
+        assert!(read_chunk_frame(&file, m1.offset, 0, &mut frame, &mut out).is_err());
 
         let path = segment_path(&dir, 3, 0);
         assert_eq!(validate_segment(&path, 3, true).unwrap(), vec![0, 1024]);
@@ -373,8 +386,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(validate_segment(&path, 1, false).is_err());
         let file = File::open(&path).unwrap();
-        let mut out = Vec::new();
-        assert!(read_chunk_frame(&file, m0.offset, 0, &mut out).is_err());
+        let (mut frame, mut out) = (Vec::new(), Vec::new());
+        assert!(read_chunk_frame(&file, m0.offset, 0, &mut frame, &mut out).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
